@@ -307,6 +307,9 @@ func printResult(res *tailbench.Result) {
 	row("queue", res.Queue)
 	row("service", res.Service)
 	row("sojourn", res.Sojourn)
+	if res.IssueLag.Count > 0 {
+		row("issuelag", res.IssueLag)
+	}
 	if res.Runs > 1 {
 		fmt.Printf("p95 95%% CI  : ±%.2f%%\n", res.P95CIRelative*100)
 	}

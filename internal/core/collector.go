@@ -30,6 +30,12 @@ type Sample struct {
 	// Err records whether the request failed (transport error or failed
 	// validation).
 	Err bool
+	// IssueLag is how late the request was issued: the instant it actually
+	// entered the request queue (integrated) or was handed to the connection
+	// (loopback, networked) minus its scheduled instant. It is part of Sojourn and
+	// measures the pacer, not the application. Harnesses without scheduled
+	// instants (the closed-loop tester) leave it zero.
+	IssueLag time.Duration
 	// Offset places the sample on the run's time axis (the scheduled
 	// arrival offset from the start of the run). Windowed latency
 	// accounting bins samples by it; harnesses without scheduled instants
@@ -48,6 +54,9 @@ type Collector struct {
 	queue   *stats.Histogram
 	service *stats.Histogram
 	sojourn *stats.Histogram
+	// issueLag is summarized from its histogram alone, never from raw
+	// samples, so tracking it adds no per-request memory.
+	issueLag *stats.Histogram
 
 	rawQueue   []time.Duration
 	rawService []time.Duration
@@ -82,15 +91,24 @@ type collectorMetrics struct {
 	sojourn   *metrics.Histogram
 }
 
+// Issue-lag histogram range. A precise pacer issues most requests well under
+// a microsecond late, below the 1µs floor of the latency histograms, so the
+// issue-lag histogram starts at 10ns.
+const (
+	issueLagMin = int64(10 * time.Nanosecond)
+	issueLagMax = int64(1000 * time.Second)
+)
+
 // NewCollector returns an empty collector. If keepRaw is true every
 // individual sample is retained (short-run mode); histograms are always
 // maintained.
 func NewCollector(keepRaw bool) *Collector {
 	return &Collector{
-		keepRaw: keepRaw,
-		queue:   stats.NewHistogram(),
-		service: stats.NewHistogram(),
-		sojourn: stats.NewHistogram(),
+		keepRaw:  keepRaw,
+		queue:    stats.NewHistogram(),
+		service:  stats.NewHistogram(),
+		sojourn:  stats.NewHistogram(),
+		issueLag: stats.NewHistogramRange(issueLagMin, issueLagMax),
 	}
 }
 
@@ -184,6 +202,7 @@ func (c *Collector) Record(s Sample) {
 	c.queue.RecordDuration(s.Queue)
 	c.service.RecordDuration(s.Service)
 	c.sojourn.RecordDuration(s.Sojourn)
+	c.issueLag.RecordDuration(s.IssueLag)
 	if c.keepRaw {
 		c.rawQueue = append(c.rawQueue, s.Queue)
 		c.rawService = append(c.rawService, s.Service)
@@ -211,12 +230,13 @@ func (c *Collector) snapshot() collectorSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := collectorSnapshot{
-		count:   c.count,
-		warmups: c.warmups,
-		errors:  c.errors,
-		first:   c.first,
-		last:    c.last,
-		timed:   append([]stats.TimedSample(nil), c.timed...),
+		count:    c.count,
+		warmups:  c.warmups,
+		errors:   c.errors,
+		first:    c.first,
+		last:     c.last,
+		timed:    append([]stats.TimedSample(nil), c.timed...),
+		issueLag: stats.SummaryFromHistogram(c.issueLag),
 	}
 	if c.keepRaw && len(c.rawSojourn) > 0 {
 		snap.queue = stats.SummaryFromSamples(c.rawQueue)
@@ -292,6 +312,7 @@ type collectorSnapshot struct {
 	queue      stats.LatencySummary
 	service    stats.LatencySummary
 	sojourn    stats.LatencySummary
+	issueLag   stats.LatencySummary
 	serviceCDF []stats.CDFPoint
 	sojournCDF []stats.CDFPoint
 	rawQueue   []time.Duration

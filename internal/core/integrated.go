@@ -77,12 +77,13 @@ func RunIntegrated(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 					failed = client.CheckResponse(p.payload, resp) != nil
 				}
 				collector.Record(Sample{
-					Queue:   start.Sub(p.enqueue),
-					Service: end.Sub(start),
-					Sojourn: end.Sub(p.scheduled),
-					Warmup:  p.warmup,
-					Err:     failed,
-					Offset:  p.offset,
+					Queue:    start.Sub(p.enqueue),
+					Service:  end.Sub(start),
+					Sojourn:  end.Sub(p.scheduled),
+					IssueLag: p.enqueue.Sub(p.scheduled),
+					Warmup:   p.warmup,
+					Err:      failed,
+					Offset:   p.offset,
 				})
 			}
 		}()

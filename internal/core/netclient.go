@@ -98,9 +98,11 @@ type inflight struct {
 	scheduled time.Time
 	// offset is the scheduled arrival offset from the client's start, for
 	// windowed accounting.
-	offset  time.Duration
-	payload app.Request
-	warmup  bool
+	offset time.Duration
+	// issueLag is how late the writer sent the request.
+	issueLag time.Duration
+	payload  app.Request
+	warmup   bool
 }
 
 // pendingSet is the set of requests a client connection has issued but not
@@ -175,12 +177,13 @@ func runClientConn(addr string, share clientConfig, client app.Client, cfg RunCo
 			failed = client.CheckResponse(inf.payload, msg.Payload) != nil
 		}
 		collector.Record(Sample{
-			Queue:   time.Duration(msg.QueueNs),
-			Service: time.Duration(msg.ServiceNs),
-			Sojourn: now.Sub(inf.scheduled) + extraRTT,
-			Warmup:  inf.warmup,
-			Err:     failed,
-			Offset:  inf.offset,
+			Queue:    time.Duration(msg.QueueNs),
+			Service:  time.Duration(msg.ServiceNs),
+			Sojourn:  now.Sub(inf.scheduled) + extraRTT,
+			IssueLag: inf.issueLag,
+			Warmup:   inf.warmup,
+			Err:      failed,
+			Offset:   inf.offset,
 		})
 	})
 	if err != nil {
@@ -196,11 +199,12 @@ func runClientConn(addr string, share clientConfig, client app.Client, cfg RunCo
 	for i := 0; i < total; i++ {
 		target := start.Add(offsets[i])
 		WaitUntil(target)
-		if time.Now().After(deadline) {
+		now := time.Now()
+		if now.After(deadline) {
 			break
 		}
 		id := uint64(i)
-		pending.add(id, inflight{scheduled: target, offset: offsets[i], payload: payloads[i], warmup: i < share.warmup})
+		pending.add(id, inflight{scheduled: target, offset: offsets[i], issueLag: now.Sub(target), payload: payloads[i], warmup: i < share.warmup})
 		if err := pool.Send(id, payloads[i]); err != nil {
 			pending.remove(id)
 			writeErr = err

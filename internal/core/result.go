@@ -39,6 +39,10 @@ type Result struct {
 	Queue   stats.LatencySummary
 	Service stats.LatencySummary
 	Sojourn stats.LatencySummary
+	// IssueLag summarizes how late the harness issued each measured request
+	// relative to its scheduled instant (see Sample.IssueLag): the pacer's
+	// share of Sojourn. Zero for the closed-loop tester.
+	IssueLag stats.LatencySummary
 	// ServiceCDF and SojournCDF are full distributions (used for Fig. 2).
 	ServiceCDF []stats.CDFPoint
 	SojournCDF []stats.CDFPoint
@@ -91,6 +95,7 @@ func resultFromSnapshot(appName string, kind ConfigKind, cfg RunConfig, snap col
 		Queue:          snap.queue,
 		Service:        snap.service,
 		Sojourn:        snap.sojourn,
+		IssueLag:       snap.issueLag,
 		ServiceCDF:     snap.serviceCDF,
 		SojournCDF:     snap.sojournCDF,
 		ServiceSamples: snap.rawService,

@@ -127,7 +127,7 @@ func aggregateResults(results []*Result) *Result {
 		elapsed                    time.Duration
 	)
 	sums := struct {
-		queue, service, sojourn struct{ mean, p50, p95, p99, max, min float64 }
+		queue, service, sojourn, issueLag struct{ mean, p50, p95, p99, max, min float64 }
 	}{}
 	add := func(dst *struct{ mean, p50, p95, p99, max, min float64 }, s stats.LatencySummary) {
 		dst.mean += float64(s.Mean)
@@ -147,6 +147,7 @@ func aggregateResults(results []*Result) *Result {
 		add(&sums.queue, r.Queue)
 		add(&sums.service, r.Service)
 		add(&sums.sojourn, r.Sojourn)
+		add(&sums.issueLag, r.IssueLag)
 		pooledService = append(pooledService, r.ServiceSamples...)
 		pooledSojourn = append(pooledSojourn, r.SojournSamples...)
 		pooledQueue = append(pooledQueue, r.QueueSamples...)
@@ -171,6 +172,7 @@ func aggregateResults(results []*Result) *Result {
 	out.Queue = mk(sums.queue, requests)
 	out.Service = mk(sums.service, requests)
 	out.Sojourn = mk(sums.sojourn, requests)
+	out.IssueLag = mk(sums.issueLag, requests)
 	if len(pooledSojourn) > 0 {
 		out.ServiceSamples = pooledService
 		out.SojournSamples = pooledSojourn

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"time"
 
 	"tailbench/internal/load"
@@ -44,30 +43,58 @@ func (ts *TrafficShaper) Schedule(n int) []time.Duration {
 // Shape returns the arrival-rate profile the shaper follows.
 func (ts *TrafficShaper) Shape() load.Shape { return ts.shape }
 
-// WaitUntil sleeps until the target time. It sleeps coarsely for most of the
-// wait and spins for the final stretch so that sub-millisecond inter-arrival
-// gaps (tens of thousands of QPS) are honored with reasonable fidelity even
-// though the OS sleep granularity is much coarser. Late arrivals are simply
-// issued immediately; because sojourn time is measured from the *scheduled*
-// arrival instant, dispatcher lag shows up as latency instead of silently
-// thinning the offered load.
+// spinWindow is how long before its target WaitUntil stops sleeping and
+// starts spinning. On Linux it covers the nanosleep overshoot measured on a
+// 2-vCPU host for 100–500µs sleeps — about 62µs p50, 80µs p90 and 130µs
+// p99, most of it the kernel's default 50µs timer slack — so the sleep
+// almost always wakes before the target and the spin lands on it. A wider
+// window buys little precision for proportionally more CPU spent spinning.
+// The time.Sleep fallback on other systems keeps the same window.
+const spinWindow = 100 * time.Microsecond
+
+// WaitUntil blocks until the target time and returns at once when the
+// target has passed. Late arrivals are simply issued immediately: because
+// sojourn time is measured from the *scheduled* arrival instant, any lateness
+// here is charged to the application as latency instead of silently thinning
+// the offered load, so the wait must be precise at the gaps TailBench paces —
+// tens to hundreds of microseconds at thousands of QPS.
+//
+// time.Sleep cannot pace such gaps. On Linux an idle Go scheduler waits for
+// its next timer in epoll_wait, whose timeout has millisecond resolution and
+// is rounded up to at least 1ms, so a 100–500µs time.Sleep overshoots by
+// about 0.8ms at p50 and 1.1–1.3ms at p99 on a 2-vCPU host: most requests
+// would leave close to a millisecond late. The Linux wait (pacer_linux.go)
+// instead blocks in the nanosleep system call, whose overshoot on the same
+// host is about 62µs at p50 and 130µs at p99, until a fixed spin window
+// before the target, and busy-waits the rest.
+//
+// The goroutine is locked to its OS thread for the whole wait, so the sleep
+// and the spin run on one thread: after nanosleep returns, the goroutine
+// resumes on the thread the kernel woke, never on another thread that picks
+// it up from the scheduler's run queue. On the 2-vCPU host locked and
+// unlocked waits measured within run-to-run noise of each other; the lock
+// costs two field writes per wait.
+//
+// The wait does not call runtime.Gosched, in the spin or before the sleep.
+// A yield queues the pacer behind every runnable goroutine, for up to a full
+// scheduling slice. With the TCP reader and writer goroutines of a loopback
+// run competing for two cores, a yielding spin measured loopback sojourn p50
+// at about 1ms, and one yield before each sleep at 1.3ms, against 0.5ms for
+// the time.Sleep pacer and 0.15ms for this one. A plain spin lasts at most
+// the spin window (about 40µs when the sleep overshoots by its median) and
+// stays preemptible by the runtime, so it cannot starve the goroutines it
+// paces. The cost shows with GOMAXPROCS=1: a goroutine in a system call
+// keeps its processor until the runtime's monitor retakes it, tens of
+// microseconds later, so a worker the dispatcher just woke starts that much
+// later than it would behind a parked time.Sleep. The one-processor harness
+// floor is still under a third of the time.Sleep pacer's (see
+// TestIntegratedHarnessFloor).
+//
+// Other operating systems keep time.Sleep plus a yielding spin
+// (pacer_other.go).
 func WaitUntil(target time.Time) {
-	const spinWindow = 100 * time.Microsecond
-	for {
-		now := time.Now()
-		remaining := target.Sub(now)
-		if remaining <= 0 {
-			return
-		}
-		if remaining > spinWindow {
-			time.Sleep(remaining - spinWindow)
-			continue
-		}
-		// Busy-wait the final stretch, yielding the processor between polls
-		// so the wait cannot starve the worker goroutines it is pacing.
-		for time.Now().Before(target) {
-			runtime.Gosched()
-		}
+	if !time.Now().Before(target) {
 		return
 	}
+	waitUntil(target)
 }

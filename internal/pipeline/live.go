@@ -57,6 +57,11 @@ type liveNode struct {
 	// capacity accounting.
 	settled atomic.Bool
 	timer   *time.Timer
+	// hedgeDecided arbitrates the hedge timer against the first completion,
+	// so the trace marks a node hedged exactly when a duplicate was
+	// dispatched: whichever flips it first decides — the timer by
+	// dispatching the duplicate, the winning copy by cancelling it.
+	hedgeDecided atomic.Bool
 	// pending counts unresolved children; maxChildDone their latest
 	// completion.
 	pending      atomic.Int32
@@ -495,7 +500,7 @@ func (t *liveTier) dispatch(n *liveNode, payload app.Request, hedge bool) {
 	}
 	if !hedge && t.cfg.HedgeDelay > 0 && t.idx > 0 {
 		n.timer = time.AfterFunc(t.hedgeDelay(), func() {
-			if n.settled.Load() {
+			if n.settled.Load() || !n.hedgeDecided.CompareAndSwap(false, true) {
 				return
 			}
 			t.hedgesIssued.Add(1)
@@ -629,11 +634,15 @@ func (t *liveTier) complete(rep *liveReplica, p livePending, queue, service time
 		t.hedgeWins.Add(1)
 	}
 	// Whether this node was actually hedged: the winning copy is the
-	// duplicate, or the hedge timer fired before it could be stopped (the
-	// duplicate is in flight and will report as the loser).
+	// duplicate, or the hedge timer decided before this copy could (the
+	// duplicate is in flight and will report as the loser). A timer that
+	// fired but lost the decision dispatched nothing.
 	dupDispatched := p.hedge
-	if n.timer != nil && !n.timer.Stop() {
-		dupDispatched = true
+	if n.timer != nil {
+		n.timer.Stop()
+		if !n.hedgeDecided.CompareAndSwap(false, true) {
+			dupDispatched = true
+		}
 	}
 	if failed {
 		n.root.err.Store(true)

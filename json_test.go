@@ -24,6 +24,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		Queue:       LatencyStats{Count: 4000, Mean: time.Millisecond, P50: time.Millisecond, P95: 2 * time.Millisecond, P99: 3 * time.Millisecond, Max: 5 * time.Millisecond, Min: 100 * time.Microsecond},
 		Service:     LatencyStats{Count: 4000, Mean: 2 * time.Millisecond},
 		Sojourn:     LatencyStats{Count: 4000, P95: 4 * time.Millisecond, P99: 9 * time.Millisecond},
+		IssueLag:    LatencyStats{Count: 4000, Mean: 3 * time.Microsecond, P50: 400 * time.Nanosecond, P99: 90 * time.Microsecond, Max: time.Millisecond, Min: 20 * time.Nanosecond},
 		ServiceCDF:  []CDFPoint{{Value: time.Millisecond, Cumulative: 0.5}, {Value: 2 * time.Millisecond, Cumulative: 1}},
 		SojournCDF:  []CDFPoint{{Value: 3 * time.Millisecond, Cumulative: 1}},
 		Windows: []WindowStats{

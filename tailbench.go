@@ -249,8 +249,13 @@ type Result struct {
 	Queue       LatencyStats
 	Service     LatencyStats
 	Sojourn     LatencyStats
-	ServiceCDF  []CDFPoint
-	SojournCDF  []CDFPoint
+	// IssueLag summarizes how late the harness issued each measured request
+	// relative to its scheduled instant, a part of Sojourn that measures
+	// the load generator rather than the application. Zero in simulated
+	// mode, which issues on schedule by construction.
+	IssueLag   LatencyStats
+	ServiceCDF []CDFPoint
+	SojournCDF []CDFPoint
 	// ServiceSamples and SojournSamples are present when KeepRaw was set.
 	ServiceSamples []time.Duration
 	SojournSamples []time.Duration
@@ -372,6 +377,7 @@ func fromCore(spec RunSpec, res *core.Result) *Result {
 		Queue:          fromSummary(res.Queue),
 		Service:        fromSummary(res.Service),
 		Sojourn:        fromSummary(res.Sojourn),
+		IssueLag:       fromSummary(res.IssueLag),
 		ServiceSamples: res.ServiceSamples,
 		SojournSamples: res.SojournSamples,
 		Elapsed:        res.Elapsed,

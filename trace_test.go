@@ -269,28 +269,48 @@ func TestTraceLiveWellFormed(t *testing.T) {
 		checkWellFormed(t, rt, 5*time.Millisecond)
 	}
 
+	// The pipeline retains every measured root's tree and hedges after 1µs,
+	// so the timer and the first completion race on most sub-requests and
+	// the trees can be checked against the engine's hedge count. (With a
+	// 100µs budget a run hedged 0–2 sub-requests, and whether one landed in
+	// the slowest few measured trees — warmup roots are never traced — was
+	// a coin flip.)
 	pres, err := RunPipeline(PipelineSpec{
 		Mode: ModeIntegrated,
 		Tiers: []TierSpec{
 			{Cluster: ClusterSpec{App: "masstree", Replicas: 1, Scale: 0.05}},
 			{Cluster: ClusterSpec{App: "masstree", Replicas: 2, Scale: 0.05}, FanOut: 2,
-				Hedge: &HedgeSpec{Delay: 100 * time.Microsecond}},
+				Hedge: &HedgeSpec{Delay: time.Microsecond}},
 		},
 		QPS: 400, Requests: 400, Warmup: 40, Seed: 1,
-		Trace: &TraceSpec{TopK: 8},
+		Trace: &TraceSpec{TopK: 400},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pres.Trace == nil || len(pres.Trace.Slowest) == 0 {
-		t.Fatal("live pipeline run retained no traces")
+	if pres.Trace == nil || len(pres.Trace.Slowest) != 400 {
+		t.Fatal("live pipeline run did not retain every measured trace")
 	}
-	hedges := 0
+	hedges, hedgedNodes := 0, 0
 	for _, rt := range pres.Trace.Slowest {
 		hedges += checkWellFormed(t, rt, 5*time.Millisecond)
+		nodes := map[int32]bool{}
+		for _, sp := range rt.Spans {
+			if sp.Kind == trace.KindHedge {
+				nodes[sp.Parent] = true
+			}
+		}
+		hedgedNodes += len(nodes)
 	}
-	if pres.Tiers[1].HedgesIssued > 0 && hedges == 0 {
+	issued := pres.Tiers[1].HedgesIssued
+	if issued > 0 && hedges == 0 {
 		t.Error("hedges were issued but no retained tree recorded a hedge span")
+	}
+	// A node is traced as hedged only when a duplicate was dispatched, so
+	// the measured trees can hold at most the hedges the engine issued
+	// (warmup roots account for the rest).
+	if uint64(hedgedNodes) > issued {
+		t.Errorf("%d traced sub-requests are marked hedged, but only %d hedges were issued", hedgedNodes, issued)
 	}
 	// The live attribution reconciles like the simulated one: exact by
 	// construction, no wall-clock slop in the decomposition itself.
