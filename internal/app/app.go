@@ -34,15 +34,17 @@ type Server interface {
 }
 
 // Client generates requests for an application and validates responses.
-// A Client is used by a single goroutine; the harness creates one Client per
-// client connection/thread, each with its own seed.
+// The harness creates one Client per client connection, each with its own
+// seed.
 type Client interface {
-	// NextRequest returns the next serialized request.
+	// NextRequest returns the next serialized request. It is called by one
+	// goroutine at a time.
 	NextRequest() Request
 	// CheckResponse validates the response for a request this client
 	// generated. It returns an error if the response is malformed or
 	// semantically wrong (used by integration tests and the harness's
-	// optional validation mode).
+	// optional validation mode). It must be safe for concurrent use: the
+	// harness's worker goroutines validate their responses in parallel.
 	CheckResponse(req Request, resp Response) error
 }
 

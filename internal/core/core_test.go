@@ -42,8 +42,7 @@ func (s *fakeServer) Close() error { return nil }
 
 // fakeClient generates numbered requests and validates echoes.
 type fakeClient struct {
-	seq      int
-	failSeen bool
+	seq int
 }
 
 func (c *fakeClient) NextRequest() app.Request {
@@ -53,7 +52,6 @@ func (c *fakeClient) NextRequest() app.Request {
 
 func (c *fakeClient) CheckResponse(req app.Request, resp app.Response) error {
 	if !bytes.HasPrefix(resp, []byte("echo:")) || !bytes.HasSuffix(resp, req) {
-		c.failSeen = true
 		return app.BadResponsef("bad echo %q for %q", resp, req)
 	}
 	return nil

@@ -14,25 +14,15 @@ import (
 // is decorrelated across clients and across repeated runs.
 type ClientFactory func(seed int64) (app.Client, error)
 
-// pendingRequest is one request flowing through the in-process request queue
-// of the integrated configuration.
-type pendingRequest struct {
-	payload app.Request
-	// scheduled is the arrival instant assigned by the traffic shaper; the
-	// sojourn time is measured from this instant, so dispatcher lag counts
-	// as latency rather than silently reducing offered load.
-	scheduled time.Time
-	// offset is the scheduled arrival offset from the start of the run,
-	// placing the sample on the time axis for windowed accounting.
-	offset time.Duration
-	// enqueue is when the request actually entered the queue.
-	enqueue time.Time
-	warmup  bool
-}
-
 // RunIntegrated measures the application under the integrated configuration:
-// client, harness, and application in one process, communicating through an
-// in-memory request queue (Fig. 1, upper right).
+// client, harness, and application in one process (Fig. 1, upper right).
+// Its cfg.Threads workers are leader/followers: the holder of one leader
+// token claims the next request, waits for its instant, passes the token on
+// and serves the request itself, so no goroutine wake-up lies between a
+// request's instant and its service, and a worker that comes free claims the
+// earliest unclaimed request (FIFO). The token is a 1-buffered channel: a
+// sync.Mutex would enter starvation mode, as followers wait over 1ms, and
+// its Unlock would hand the processor to the waiter ahead of the leader.
 func RunIntegrated(server app.Server, newClient ClientFactory, cfg RunConfig) (*Result, error) {
 	if server == nil {
 		return nil, ErrNilServer
@@ -52,7 +42,7 @@ func RunIntegrated(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 
 	total := cfg.WarmupRequests + cfg.Requests
 	// Pre-generate request payloads so request construction cost never
-	// perturbs the dispatch timing.
+	// perturbs the issue timing.
 	payloads := make([]app.Request, total)
 	for i := range payloads {
 		payloads[i] = client.NextRequest()
@@ -61,53 +51,62 @@ func RunIntegrated(server app.Server, newClient ClientFactory, cfg RunConfig) (*
 	offsets := shaper.Schedule(total)
 
 	collector := newRunCollector(cfg)
-	queue := make(chan pendingRequest, total)
+	token := make(chan struct{}, 1)
+	// next is the index the token holder claims; total stops every worker.
+	next := 0
+	token <- struct{}{}
 
+	startTime := time.Now()
+	deadline := startTime.Add(cfg.Timeout)
 	var workers sync.WaitGroup
 	for w := 0; w < cfg.Threads; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for p := range queue {
+			for {
+				<-token
+				i := next
+				if i >= total {
+					token <- struct{}{}
+					return
+				}
+				// A request claimed after its instant waited for a worker
+				// (queueing); before it, the pacer's lateness is issue lag.
+				target := startTime.Add(offsets[i])
+				issued := target
+				now := time.Now()
+				if now.Before(target) {
+					WaitUntil(target)
+					now = time.Now()
+					issued = now
+				}
+				if now.After(deadline) {
+					next = total
+					token <- struct{}{}
+					return
+				}
+				next = i + 1
+				token <- struct{}{}
+
 				start := time.Now()
-				resp, perr := server.Process(p.payload)
+				resp, perr := server.Process(payloads[i])
 				end := time.Now()
 				failed := perr != nil
 				if !failed && cfg.Validate {
-					failed = client.CheckResponse(p.payload, resp) != nil
+					failed = client.CheckResponse(payloads[i], resp) != nil
 				}
 				collector.Record(Sample{
-					Queue:    start.Sub(p.enqueue),
+					Queue:    start.Sub(issued),
 					Service:  end.Sub(start),
-					Sojourn:  end.Sub(p.scheduled),
-					IssueLag: p.enqueue.Sub(p.scheduled),
-					Warmup:   p.warmup,
+					Sojourn:  end.Sub(target),
+					IssueLag: issued.Sub(target),
+					Warmup:   i < cfg.WarmupRequests,
 					Err:      failed,
-					Offset:   p.offset,
+					Offset:   offsets[i],
 				})
 			}
 		}()
 	}
-
-	// Dispatcher: issue requests open-loop at their scheduled instants.
-	startTime := time.Now()
-	deadline := startTime.Add(cfg.Timeout)
-	for i := 0; i < total; i++ {
-		target := startTime.Add(offsets[i])
-		WaitUntil(target)
-		now := time.Now()
-		if now.After(deadline) {
-			break
-		}
-		queue <- pendingRequest{
-			payload:   payloads[i],
-			scheduled: target,
-			offset:    offsets[i],
-			enqueue:   now,
-			warmup:    i < cfg.WarmupRequests,
-		}
-	}
-	close(queue)
 	workers.Wait()
 
 	return resultFromSnapshot(server.Name(), Integrated, cfg, collector.snapshot()), nil

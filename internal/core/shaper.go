@@ -85,9 +85,11 @@ const spinWindow = 100 * time.Microsecond
 // stays preemptible by the runtime, so it cannot starve the goroutines it
 // paces. The cost shows with GOMAXPROCS=1: a goroutine in a system call
 // keeps its processor until the runtime's monitor retakes it, tens of
-// microseconds later, so a worker the dispatcher just woke starts that much
-// later than it would behind a parked time.Sleep. The one-processor harness
-// floor is still under a third of the time.Sleep pacer's (see
+// microseconds later, so a goroutine that must run while the pacer sleeps
+// (a worker a live cluster or pipeline dispatcher just handed a request)
+// starts that much later than it would behind a parked time.Sleep. The
+// integrated configuration has no such handoff: the worker that waits
+// serves the request itself (see RunIntegrated and
 // TestIntegratedHarnessFloor).
 //
 // Other operating systems keep time.Sleep plus a yielding spin
